@@ -14,17 +14,20 @@
 // output (plus the tolerance block); CI re-runs the tool and feeds both
 // files to tools/perf_gate/perf_gate.py.
 //
-// Requires an opcount-enabled build (any Debug build, or Release with
-// -DVALENTINE_OPCOUNT=ON); exits 3 otherwise so the gate can't silently
-// compare empty counts.
+// Op counts exist only in an opcount-enabled build (any Debug build, or
+// Release with -DVALENTINE_OPCOUNT=ON, i.e. the perf-opcount preset).
+// Without them the tool still times every kernel but writes a
+// timing-only document: each kernel has ns_per_iter and no "ops" key
+// (an empty object would read as "zero ops"), and the top level says
+// "opcounts": false. perf_gate.py refuses such a file (exit 2), so a
+// counter-free run can never be compared as empty counts.
 //
 // --pessimize runs every workload twice per iteration — an honest
 // injected regression (2x ops, ~2x ns) used by the gate's selftest and
 // by the acceptance check that the gate actually fails.
 //
 // Usage: bench_kernels [--out PATH] [--repeats N] [--pessimize]
-// Exits 0 on success, 1 on I/O failure, 2 on usage, 3 when opcounts
-// are compiled out.
+// Exits 0 on success, 1 on I/O failure, 2 on usage.
 
 #include <algorithm>
 #include <chrono>
@@ -163,13 +166,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  if (!opcount::kEnabled) {
-    std::fprintf(stderr,
-                 "bench_kernels: opcounts are compiled out in this build; "
-                 "configure with -DVALENTINE_OPCOUNT=ON (or build Debug)\n");
-    return 3;
-  }
-
   serve::JsonValue kernels_json = serve::JsonValue::Object();
   for (const Kernel& kernel : MakeKernels()) {
     auto iterate = [&] {
@@ -177,7 +173,8 @@ int Run(int argc, char** argv) {
       if (pessimize) kernel.work();
     };
 
-    // Exact op counts: one iteration bracketed by thread snapshots.
+    // Exact op counts: one iteration bracketed by thread snapshots (in a
+    // counter-free build the delta is empty and the run is a warm-up).
     opcount::Snapshot before = opcount::ThreadSnapshot();
     iterate();
     opcount::Snapshot delta = opcount::ThreadSnapshot().DeltaSince(before);
@@ -197,16 +194,18 @@ int Run(int argc, char** argv) {
     std::sort(ns.begin(), ns.end());
     double median = ns[ns.size() / 2];
 
-    serve::JsonValue ops = serve::JsonValue::Object();
-    for (opcount::Op op : opcount::AllOps()) {
-      uint64_t n = delta.value(op);
-      if (n == 0) continue;
-      ops.Set(opcount::OpName(op),
-              serve::JsonValue::Number(static_cast<double>(n)));
-    }
     serve::JsonValue entry = serve::JsonValue::Object();
     entry.Set("ns_per_iter", serve::JsonValue::Number(median));
-    entry.Set("ops", std::move(ops));
+    if (opcount::kEnabled) {
+      serve::JsonValue ops = serve::JsonValue::Object();
+      for (opcount::Op op : opcount::AllOps()) {
+        uint64_t n = delta.value(op);
+        if (n == 0) continue;
+        ops.Set(opcount::OpName(op),
+                serve::JsonValue::Number(static_cast<double>(n)));
+      }
+      entry.Set("ops", std::move(ops));
+    }
     kernels_json.Set(kernel.name, std::move(entry));
   }
 
@@ -215,6 +214,7 @@ int Run(int argc, char** argv) {
                 serve::JsonValue::Number(kDefaultNsRatioTolerance));
   serve::JsonValue doc = serve::JsonValue::Object();
   doc.Set("schema", serve::JsonValue::String("valentine-bench-kernels/1"));
+  if (!opcount::kEnabled) doc.Set("opcounts", serve::JsonValue::Bool(false));
   doc.Set("repeats", serve::JsonValue::Number(repeats));
   doc.Set("tolerance", std::move(tolerance));
   doc.Set("kernels", std::move(kernels_json));

@@ -12,6 +12,11 @@ Two comparison regimes, matching what each number can promise:
     baseline's tolerance.ns_ratio, else 5.0). Speedups never fail: the
     op counts already fence "fast because it stopped doing the work".
 
+A file that declares "opcounts": false came from a bench_kernels build
+without the op counters (no VALENTINE_OPCOUNT) and holds timings only;
+the gate refuses it as an input error instead of comparing empty counts.
+Only the perf-opcount preset's output can be gated.
+
 A kernel present in the baseline but missing from the fresh run fails
 (coverage must not silently shrink); a new kernel only in the fresh run
 is reported but passes (the baseline is updated by committing the fresh
@@ -39,6 +44,12 @@ def load(path):
     if doc.get("schema") != "valentine-bench-kernels/1":
         sys.stderr.write(f"perf_gate: {path}: unrecognized schema "
                          f"{doc.get('schema')!r}\n")
+        sys.exit(2)
+    if doc.get("opcounts", True) is not True:
+        sys.stderr.write(f"perf_gate: {path}: built without op counters "
+                         f"(\"opcounts\": {json.dumps(doc['opcounts'])}); "
+                         f"re-run bench_kernels from a VALENTINE_OPCOUNT "
+                         f"build (cmake --preset perf-opcount)\n")
         sys.exit(2)
     if not isinstance(doc.get("kernels"), dict):
         sys.stderr.write(f"perf_gate: {path}: missing 'kernels' object\n")

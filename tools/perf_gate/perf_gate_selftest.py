@@ -157,6 +157,20 @@ def main() -> int:
         except (OSError, json.JSONDecodeError) as e:
             FAILURES.append(f"diff-artifact-written: unreadable diff: {e}")
 
+        # A timing-only run from a build without op counters must be
+        # refused as input, on either side, never diffed as empty counts.
+        timing_only = copy.deepcopy(BASELINE)
+        timing_only["opcounts"] = False
+        for entry in timing_only["kernels"].values():
+            del entry["ops"]
+        timing_only_path = write("timing_only.json", timing_only)
+        expect("timing-only-fresh-rejected",
+               ["--baseline", base, "--fresh", timing_only_path],
+               2, "built without op counters")
+        expect("timing-only-baseline-rejected",
+               ["--baseline", timing_only_path, "--fresh", base],
+               2, "built without op counters")
+
         # Hostile inputs exit 2, never 0.
         expect("bad-schema-rejected",
                ["--baseline", write("bad.json", {"schema": "nope"}),
@@ -169,7 +183,7 @@ def main() -> int:
         for f in FAILURES:
             print(f"perf_gate_selftest FAIL {f}", file=sys.stderr)
         return 1
-    print("perf_gate_selftest: OK (13 cases)")
+    print("perf_gate_selftest: OK (15 cases)")
     return 0
 
 
